@@ -15,41 +15,49 @@ Graph::Graph(int n, const std::vector<std::pair<NodeId, NodeId>>& edges,
   if (n <= 0) throw std::invalid_argument("Graph: need at least one node");
   if (root < 0 || root >= n) throw std::invalid_argument("Graph: bad root");
   // Two passes over the edge list: degrees first, then CSR fill.  Port
-  // numbering at each endpoint is edge-list insertion order, exactly as
-  // the nested-vector representation produced.
-  std::vector<int> degree(static_cast<std::size_t>(n), 0);
-  std::set<std::pair<NodeId, NodeId>> seen;
+  // numbering at each endpoint is edge-list insertion order.
+  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (const auto& [u, v] : edges) {
     if (u < 0 || u >= n || v < 0 || v >= n)
       throw std::invalid_argument("Graph: edge endpoint out of range");
     if (u == v) throw std::invalid_argument("Graph: self-loop");
-    const auto key = std::minmax(u, v);
-    if (!seen.insert({key.first, key.second}).second)
-      throw std::invalid_argument("Graph: duplicate edge");
-    ++degree[static_cast<std::size_t>(u)];
-    ++degree[static_cast<std::size_t>(v)];
+    ++offsets_[static_cast<std::size_t>(u) + 1];
+    ++offsets_[static_cast<std::size_t>(v) + 1];
     ++edge_count_;
   }
-  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int p = 0; p < n; ++p) {
-    offsets_[static_cast<std::size_t>(p) + 1] =
-        offsets_[static_cast<std::size_t>(p)] +
-        static_cast<std::size_t>(degree[static_cast<std::size_t>(p)]);
-    max_degree_ = std::max(max_degree_, degree[static_cast<std::size_t>(p)]);
+  for (std::size_t p = 0; p < static_cast<std::size_t>(n); ++p) {
+    max_degree_ = std::max(max_degree_, static_cast<int>(offsets_[p + 1]));
+    offsets_[p + 1] += offsets_[p];
   }
   nbrs_.resize(offsets_.back());
-  ports_.reserve(nbrs_.size());
+  rev_.resize(offsets_.back());
+  // The fill pass places both directed copies of an edge at once, so
+  // each slot learns its partner's port (the reverse-port array).
   std::vector<std::size_t> fill(offsets_.begin(), offsets_.end() - 1);
-  auto addDirected = [this, &fill](NodeId u, NodeId v) {
-    const Port port = static_cast<Port>(
-        fill[static_cast<std::size_t>(u)] - offsets_[static_cast<std::size_t>(u)]);
-    nbrs_[fill[static_cast<std::size_t>(u)]++] = v;
-    ports_.emplace(edgeKey(u, v), port);
-  };
   for (const auto& [u, v] : edges) {
-    addDirected(u, v);
-    addDirected(v, u);
+    const std::size_t su = fill[static_cast<std::size_t>(u)]++;
+    const std::size_t sv = fill[static_cast<std::size_t>(v)]++;
+    nbrs_[su] = v;
+    nbrs_[sv] = u;
+    rev_[su] = static_cast<Port>(sv - offsets_[static_cast<std::size_t>(v)]);
+    rev_[sv] = static_cast<Port>(su - offsets_[static_cast<std::size_t>(u)]);
   }
+  // Duplicate edges: a row lists some neighbor twice.  One last-seen
+  // stamp per node finds that in O(n + m) without sorting or hashing.
+  std::vector<NodeId> stamp(static_cast<std::size_t>(n), kNoNode);
+  for (NodeId p = 0; p < n; ++p) {
+    for (const NodeId q : neighbors(p)) {
+      if (stamp[static_cast<std::size_t>(q)] == p)
+        throw std::invalid_argument("Graph: duplicate edge");
+      stamp[static_cast<std::size_t>(q)] = p;
+    }
+  }
+}
+
+Port Graph::portOf(NodeId p, NodeId q) const {
+  const std::span<const NodeId> row = neighbors(p);
+  const auto it = std::find(row.begin(), row.end(), q);
+  return it == row.end() ? kNoPort : static_cast<Port>(it - row.begin());
 }
 
 bool Graph::isConnected() const {

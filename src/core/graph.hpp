@@ -8,16 +8,18 @@
 //
 // Storage is CSR (compressed sparse row): one flat offsets array plus one
 // flat neighbor array, so neighbors(p) is a contiguous span and the whole
-// structure is two cache-friendly allocations regardless of n.  A hash
-// table over directed edges backs portOf/adjacent in O(1); port numbering
-// (edge-list insertion order) is unchanged from the nested representation.
+// structure is a few cache-friendly allocations regardless of n.  A
+// per-slot reverse-port array, filled in the same CSR pass, answers
+// backPort(p, l) — the port at the far end of p's link l — in one load;
+// portOf(p, q) scans p's contiguous row.  There is no hash table, so
+// building and copying a Graph is a handful of flat array copies.  Port
+// numbering is edge-list insertion order.
 #ifndef SSNO_CORE_GRAPH_HPP
 #define SSNO_CORE_GRAPH_HPP
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -70,15 +72,20 @@ class Graph {
   /// Total number of (node, port) slots, i.e. 2m.
   [[nodiscard]] std::size_t portSlotCount() const { return nbrs_.size(); }
 
-  /// The local port of p whose link leads to q; kNoPort if not adjacent.
-  /// O(1): one hash lookup in the directed-edge port table.
-  [[nodiscard]] Port portOf(NodeId p, NodeId q) const {
-    const auto it = ports_.find(edgeKey(p, q));
-    return it == ports_.end() ? kNoPort : it->second;
+  /// The port of neighborAt(p, l) whose link leads back to p:
+  /// neighborAt(neighborAt(p, l), backPort(p, l)) == p.  O(1), one load.
+  [[nodiscard]] Port backPort(NodeId p, Port l) const {
+    return rev_[offsets_[static_cast<std::size_t>(p)] +
+                static_cast<std::size_t>(l)];
   }
 
+  /// The local port of p whose link leads to q; kNoPort if not adjacent.
+  /// O(Δp): a scan of p's contiguous row.  Callers that already hold the
+  /// port at the other end use backPort instead.
+  [[nodiscard]] Port portOf(NodeId p, NodeId q) const;
+
   [[nodiscard]] bool adjacent(NodeId p, NodeId q) const {
-    return ports_.contains(edgeKey(p, q));
+    return portOf(p, q) != kNoPort;
   }
 
   [[nodiscard]] bool isConnected() const;
@@ -115,14 +122,9 @@ class Graph {
   static Graph figure221();
 
  private:
-  [[nodiscard]] static std::uint64_t edgeKey(NodeId p, NodeId q) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p)) << 32) |
-           static_cast<std::uint32_t>(q);
-  }
-
   std::vector<std::size_t> offsets_;  // n+1 entries
   std::vector<NodeId> nbrs_;          // 2m entries, port order per node
-  std::unordered_map<std::uint64_t, Port> ports_;  // (p,q) -> port at p
+  std::vector<Port> rev_;             // 2m entries, backPort per slot
   NodeId root_ = 0;
   int edge_count_ = 0;
   int max_degree_ = 0;

@@ -259,8 +259,11 @@ class Protocol {
   /// wrappers — e.g. a snapshot restore through StateArena columns,
   /// which bypasses the do* hooks entirely.  Equivalent to the dirtying
   /// a wrapper-mediated write at p would have produced (deferred inside
-  /// a simultaneous-step bracket).
-  void noteExternalWrite(NodeId p) { noteWrite(p); }
+  /// a simultaneous-step bracket), plus onExternalWrite(p).
+  void noteExternalWrite(NodeId p) {
+    onExternalWrite(p);
+    noteWrite(p);
+  }
 
   /// ---- Columnar state registry (simultaneous-step fast path) ----------
   /// A protocol whose ENTIRE mutable per-node state lives in StateArena
@@ -312,6 +315,10 @@ class Protocol {
   virtual void doRandomizeNode(NodeId p, Rng& rng) = 0;
   virtual void doDecodeNode(NodeId p, std::uint64_t code) = 0;
   virtual void doSetRawNode(NodeId p, std::span<const int> values) = 0;
+  /// p's state was rewritten outside the do* hooks (noteExternalWrite).
+  /// Protocols that keep derived per-node summaries of their own state
+  /// (Dftc's legitimacy gate) refresh p's entry here.
+  virtual void onExternalWrite(NodeId p) { (void)p; }
 
   /// Dirty region of a state write at p.  The default — p's closed
   /// neighborhood — is correct whenever guards read only N[p]; protocols

@@ -16,6 +16,36 @@ Dftc::Dftc(Graph graph)
       par_(arena_.nodeColumn(0)) {
   SSNO_EXPECTS(this->graph().nodeCount() >= 2);
   SSNO_EXPECTS(this->graph().isConnected());
+  // The port-order DFS tree of a legitimate round: a processor's next
+  // child is its first port leading to a processor not yet visited.
+  const Graph& g = this->graph();
+  const auto n = static_cast<std::size_t>(g.nodeCount());
+  pre_.assign(n, -1);
+  subMax_.assign(n, 0);
+  treeD_.assign(n, 0);
+  treePar_.assign(n, 0);
+  std::vector<Port> cursor(n, 0);
+  std::vector<NodeId> stack{g.root()};
+  int next = 0;
+  pre_[static_cast<std::size_t>(g.root())] = next++;
+  while (!stack.empty()) {
+    const NodeId p = stack.back();
+    const auto i = static_cast<std::size_t>(p);
+    if (cursor[i] == g.degree(p)) {
+      subMax_[i] = next - 1;
+      stack.pop_back();
+      continue;
+    }
+    const Port l = cursor[i]++;
+    const NodeId q = g.neighborAt(p, l);
+    const auto j = static_cast<std::size_t>(q);
+    if (pre_[j] >= 0) continue;
+    pre_[j] = next++;
+    treeD_[j] = treeD_[i] + 1;
+    treePar_[j] = g.backPort(p, l);
+    stack.push_back(q);
+  }
+  restampAll();
 }
 
 std::string Dftc::actionName(int action) const {
@@ -262,6 +292,7 @@ void Dftc::doExecute(NodeId p, int action) {
     default:
       SSNO_ASSERT(false);
   }
+  restamp(p);
 }
 
 Dftc::SimOutcome Dftc::computeSimultaneous(NodeId p, int action) const {
@@ -344,9 +375,11 @@ void Dftc::doRandomizeNode(NodeId p, Rng& rng) {
   // high-degree graphs).
   s_[p] = rng.below(graph().degree(p) + 1) - 1;
   col_[p] = rng.below(2);
-  if (p == graph().root()) return;
-  d_[p] = rng.below(graph().nodeCount());
-  par_[p] = rng.below(graph().degree(p));
+  if (p != graph().root()) {
+    d_[p] = rng.below(graph().nodeCount());
+    par_[p] = rng.below(graph().degree(p));
+  }
+  restamp(p);
 }
 
 std::vector<int> Dftc::rawNode(NodeId p) const { return arena_.rawNode(p); }
@@ -359,6 +392,7 @@ void Dftc::doSetRawNode(NodeId p, std::span<const int> values) {
     d_[p] = 0;
     par_[p] = 0;
   }
+  restamp(p);
 }
 
 std::uint64_t Dftc::localStateCount(NodeId p) const {
@@ -389,12 +423,13 @@ void Dftc::doDecodeNode(NodeId p, std::uint64_t code) {
   if (p == graph().root()) {
     d_[p] = 0;
     par_[p] = 0;
-    return;
+  } else {
+    const std::uint64_t n = static_cast<std::uint64_t>(graph().nodeCount());
+    d_[p] = static_cast<int>(code % n);
+    code /= n;
+    par_[p] = static_cast<int>(code);
   }
-  const std::uint64_t n = static_cast<std::uint64_t>(graph().nodeCount());
-  d_[p] = static_cast<int>(code % n);
-  code /= n;
-  par_[p] = static_cast<int>(code);
+  restamp(p);
 }
 
 std::string Dftc::dumpNode(NodeId p) const {
@@ -415,33 +450,138 @@ void Dftc::resetClean() {
   col_.fill(0);
   d_.fill(0);
   par_.fill(0);
+  restampAll();
   dirtyAll();
 }
 
-void Dftc::buildOrbitIfNeeded() {
-  if (orbit_.has_value()) return;
-  // Walk the deterministic legitimate cycle from the clean boundary,
-  // with hooks suppressed and the observable state restored afterwards.
-  const std::vector<int> saved = rawConfiguration();
-  TokenHooks savedHooks = std::move(hooks_);
-  hooks_ = TokenHooks{};
-  resetClean();
-  orbit_.emplace();
-  while (true) {
-    std::vector<int> code = rawConfiguration();
-    if (!orbit_->insert(std::move(code)).second) break;  // cycle closed
-    const std::vector<Move> moves = enabledMoves();
-    // The legitimate execution is deterministic: exactly one enabled move.
-    SSNO_ASSERT(moves.size() == 1);
-    execute(moves.front().node, moves.front().action);
+Dftc::Stamp Dftc::classify(NodeId p) const {
+  const int c = col_[p];
+  if (c != 0 && c != 1) return kOffOrbit;
+  if (const int l = s_[p]; l != kIdle) {
+    // A legitimate pointer always targets a DFS child of p.
+    if (l < 0 || l >= graph().degree(p)) return kOffOrbit;
+    const NodeId q = graph().neighborAt(p, l);
+    if (q == graph().root() ||
+        treePar_[static_cast<std::size_t>(q)] != graph().backPort(p, l))
+      return kOffOrbit;
   }
-  hooks_ = std::move(savedHooks);
-  setRawConfiguration(saved);
+  const auto i = static_cast<std::size_t>(p);
+  if (d_[p] == treeD_[i] && par_[p] == treePar_[i]) return kCanonical;
+  // (The root's DFS values are (0, 0), so only non-roots get here.)
+  if (d_[p] == 0 && par_[p] == 0) return kZeroed;
+  return kOffOrbit;
 }
 
-bool Dftc::isLegitimate() {
-  buildOrbitIfNeeded();
-  return orbit_->contains(rawConfiguration());
+void Dftc::restampAll() {
+  const auto n = static_cast<std::size_t>(graph().nodeCount());
+  stamp_.assign(n, kCanonical);
+  stampCount_[kCanonical] = static_cast<int>(n);
+  stampCount_[kZeroed] = stampCount_[kOffOrbit] = 0;
+  for (NodeId p = 0; p < graph().nodeCount(); ++p) restamp(p);
+}
+
+bool Dftc::matchesOrbit(bool steadyOnly) const {
+  const Graph& g = graph();
+  const NodeId r = g.root();
+  const int n = g.nodeCount();
+  const int* s = s_.data().data();
+  const int* col = col_.data().data();
+  const int* d = d_.data().data();
+  const int* par = par_.data().data();
+  const int b = col[r];
+  if ((b != 0 && b != 1) || d[r] != 0 || par[r] != 0) return false;
+  auto canonical = [&](NodeId p) {
+    const auto i = static_cast<std::size_t>(p);
+    return d[p] == treeD_[i] && par[p] == treePar_[i];
+  };
+  auto zeroed = [&](NodeId p) { return d[p] == 0 && par[p] == 0; };
+
+  if (s[r] == kIdle) {
+    // Round boundary: all idle, all colored b, every non-root at its
+    // DFS (d, par) — or, only at the clean start (b = 0), all at (0, 0).
+    bool allCanonical = true;
+    bool allZeroed = !steadyOnly && b == 0;
+    for (NodeId p = 0; p < n; ++p) {
+      if (s[p] != kIdle || col[p] != b) return false;
+      if (p == r) continue;
+      allCanonical = allCanonical && canonical(p);
+      allZeroed = allZeroed && zeroed(p);
+      if (!allCanonical && !allZeroed) return false;
+    }
+    return true;
+  }
+
+  // Mid-round: the chain runs down the DFS tree from the root to an idle
+  // tip x.  A tip of color b has just finished its subtree; otherwise it
+  // is the next processor to visit.  Either way the visited processors
+  // are exactly those with preorder below `visitedBelow`.
+  int chain = 0;
+  NodeId x = r;
+  while (s[x] != kIdle) {
+    const Port l = s[x];
+    if (l < 0 || l >= g.degree(x)) return false;
+    const NodeId y = g.neighborAt(x, l);
+    if (y == r || treePar_[static_cast<std::size_t>(y)] != g.backPort(x, l))
+      return false;
+    x = y;
+    ++chain;
+  }
+  const int visitedBelow = col[x] == b
+                               ? subMax_[static_cast<std::size_t>(x)] + 1
+                               : pre_[static_cast<std::size_t>(x)];
+  // Unvisited processors keep the previous round's DFS (d, par), or in
+  // the first round (b = 1) the clean start's (0, 0); the first
+  // unvisited non-root decides which (0 undecided, 1 DFS, 2 zeroed).
+  int mode = steadyOnly ? 1 : 0;
+  int pointers = 0;
+  for (NodeId p = 0; p < n; ++p) {
+    if (s[p] != kIdle && ++pointers > chain) return false;
+    const bool visited = pre_[static_cast<std::size_t>(p)] < visitedBelow;
+    if (col[p] != (visited ? b : 1 - b)) return false;
+    if (p == r) continue;
+    if (visited || mode == 1) {
+      if (!canonical(p)) return false;
+    } else if (mode == 2) {
+      if (!zeroed(p)) return false;
+    } else if (canonical(p)) {
+      mode = 1;
+    } else if (b == 1 && zeroed(p)) {
+      mode = 2;
+    } else {
+      return false;
+    }
+  }
+  return pointers == chain;
+}
+
+void Dftc::debugCheckGate(bool steadyOnly, bool verdict) const {
+#ifndef NDEBUG
+  if (graph().nodeCount() > 64) return;
+  int counts[3] = {0, 0, 0};
+  for (NodeId p = 0; p < graph().nodeCount(); ++p) {
+    const Stamp now = classify(p);
+    SSNO_ASSERT(stamp_[static_cast<std::size_t>(p)] == now);
+    ++counts[now];
+  }
+  for (int c = 0; c < 3; ++c) SSNO_ASSERT(counts[c] == stampCount_[c]);
+  SSNO_ASSERT(verdict == matchesOrbit(steadyOnly));
+#else
+  (void)steadyOnly;
+  (void)verdict;
+#endif
+}
+
+bool Dftc::isLegitimate() const {
+  const bool legit = stampCount_[kOffOrbit] == 0 && matchesOrbit(false);
+  debugCheckGate(false, legit);
+  return legit;
+}
+
+bool Dftc::isLegitimateSteady() const {
+  const bool legit = stampCount_[kOffOrbit] == 0 &&
+                     stampCount_[kZeroed] == 0 && matchesOrbit(true);
+  debugCheckGate(true, legit);
+  return legit;
 }
 
 double Dftc::stateBits(NodeId p) const {

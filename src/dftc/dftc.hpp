@@ -72,16 +72,23 @@
 // on larger ones.
 //
 // The set of legitimate configurations L_TC is the *orbit* of the clean
-// round-boundary configuration (all S=C, uniform color): the legitimate
-// execution is deterministic (exactly one substrate action enabled), so
-// the orbit is a finite cycle computed once and membership is a hash
-// lookup.
+// configuration resetClean() produces (all S=C, col=0, d=0, par=0): the
+// legitimate execution is deterministic (exactly one substrate action
+// enabled), so the orbit is the clean start, the first round (whose
+// unvisited processors still hold d=0, par=0), and then a two-round
+// cycle (the color alternates).  Every legitimate round walks the same
+// tree — the port-order DFS tree from the root — so membership has a
+// closed form: the token chain (root → tip along S pointers) and the
+// root's color fix the visited set as a preorder prefix, and with it
+// the expected S/col/d/par of every processor.  isLegitimate compares
+// that in O(n) with early exit, behind an O(1) gate: a count of
+// processors whose own (S, col, d, par) cannot occur anywhere on the
+// orbit, kept exact by every write path.  Memory is O(n) ints, the DFS
+// tables computed once in the constructor.
 #ifndef SSNO_DFTC_DFTC_HPP
 #define SSNO_DFTC_DFTC_HPP
 
 #include <functional>
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -147,10 +154,27 @@ class Dftc final : public Protocol {
   /// (p currently holds, or is about to act on, the token).
   [[nodiscard]] bool holdsToken(NodeId p) const;
 
-  /// L_TC: current configuration lies on the legitimate orbit.
-  /// (Non-const only because orbit computation temporarily walks the
-  /// protocol through the clean cycle; the observable state is restored.)
-  [[nodiscard]] bool isLegitimate();
+  /// L_TC: the current configuration lies on the legitimate orbit of
+  /// resetClean() (closed form, see the header comment).  O(1) while the
+  /// gate is closed, O(n) with early exit otherwise; no allocation.
+  [[nodiscard]] bool isLegitimate() const;
+
+  /// L_TC without the first round after resetClean(): the two-round
+  /// cycle, on which every processor holds its DFS-tree depth and parent
+  /// port.  DFTNO's steady-state orbit lies over exactly this set.
+  [[nodiscard]] bool isLegitimateSteady() const;
+
+  /// The port-order DFS tree every legitimate round traverses: p's
+  /// preorder index (the root is 0) and the largest preorder index in
+  /// p's subtree.
+  [[nodiscard]] int preorder(NodeId p) const {
+    return pre_[static_cast<std::size_t>(p)];
+  }
+  [[nodiscard]] int subtreeMax(NodeId p) const {
+    return subMax_[static_cast<std::size_t>(p)];
+  }
+  /// preorder() as one flat table, indexed by node id.
+  [[nodiscard]] std::span<const int> preorders() const { return pre_; }
 
   /// Resets to the clean round boundary: all S=C, col=0, d=0, par=0.
   void resetClean();
@@ -193,11 +217,15 @@ class Dftc final : public Protocol {
     col_[p] = o.col;
     d_[p] = o.d;
     par_[p] = o.par;
+    restamp(p);
   }
   /// Error's simultaneous outcome in full: s := idle, everything else
   /// unchanged (same write discipline as commitSimultaneous — the batch
   /// driver records writers, no hooks, no dirtying).
-  void commitIdle(NodeId p) { s_[p] = kIdle; }
+  void commitIdle(NodeId p) {
+    s_[p] = kIdle;
+    restamp(p);
+  }
 
  protected:
   // ---- Protocol mutation hooks ----
@@ -211,9 +239,36 @@ class Dftc final : public Protocol {
   void doRandomizeNode(NodeId p, Rng& rng) override;
   void doDecodeNode(NodeId p, std::uint64_t code) override;
   void doSetRawNode(NodeId p, std::span<const int> values) override;
+  void onExternalWrite(NodeId p) override { restamp(p); }
 
  private:
   static constexpr int kIdle = -1;
+
+  // Gate classes of one processor's own variables (see restamp).
+  enum Stamp : std::uint8_t { kCanonical = 0, kZeroed = 1, kOffOrbit = 2 };
+
+  /// The gate class of p's current (S, col, d, par): kOffOrbit if no
+  /// orbit configuration gives p these values (col ∉ {0,1}, S neither
+  /// idle nor a DFS-child port, or (d, par) neither the DFS values nor
+  /// the first round's (0, 0)); kZeroed for the first round's (0, 0);
+  /// kCanonical otherwise.
+  [[nodiscard]] Stamp classify(NodeId p) const;
+  /// Re-files p's gate class after a write to p (every write path calls
+  /// this, so the counts below are exact).
+  void restamp(NodeId p) {
+    auto& slot = stamp_[static_cast<std::size_t>(p)];
+    const Stamp now = classify(p);
+    stampCount_[slot] -= 1;
+    stampCount_[now] += 1;
+    slot = now;
+  }
+  void restampAll();
+  /// The closed-form membership test without the gate; `steadyOnly`
+  /// excludes the first round (isLegitimateSteady).
+  [[nodiscard]] bool matchesOrbit(bool steadyOnly) const;
+  /// Debug builds at n ≤ 64: the gate counts equal a recount, and the
+  /// gated verdict equals the ungated one.
+  void debugCheckGate(bool steadyOnly, bool verdict) const;
 
   [[nodiscard]] NodeId target(NodeId p) const {
     return graph().neighborAt(p, s_[p]);
@@ -231,8 +286,6 @@ class Dftc final : public Protocol {
   [[nodiscard]] Port firstOfferingParentPort(NodeId p) const;
   [[nodiscard]] bool validParent(NodeId p) const;
 
-  void buildOrbitIfNeeded();
-
   // SoA state columns (registration order == raw layout {s, col, d, par}).
   StateArena arena_;
   NodeColumn s_;     // kIdle or port
@@ -245,8 +298,14 @@ class Dftc final : public Protocol {
   // bytes (see the offers pass in evaluateGuards).  Mutable because the
   // evaluator is const; reused across calls, no steady-state allocation.
   mutable std::vector<std::uint8_t> offers_;
-  // Exact raw configurations of the legitimate orbit (computed once).
-  std::optional<std::set<std::vector<int>>> orbit_;
+  // Port-order DFS tree from the root (the legitimate round's tree).
+  std::vector<int> pre_;       // preorder index
+  std::vector<int> subMax_;    // largest preorder index in the subtree
+  std::vector<int> treeD_;     // depth (root 0)
+  std::vector<Port> treePar_;  // port toward the parent (root 0)
+  // Gate: per-node class and the number of nodes in each class.
+  std::vector<std::uint8_t> stamp_;
+  int stampCount_[3] = {0, 0, 0};
 };
 
 }  // namespace ssno

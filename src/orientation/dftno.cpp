@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 
 #include "core/assert.hpp"
@@ -12,13 +11,15 @@ namespace ssno {
 
 Dftno::Dftno(Graph graph, EdgeLabelGuard guard)
     : Protocol(graph),
-      dftc_(graph),
+      dftc_(std::move(graph)),
       guard_(guard),
       arena_(this->graph()),
       eta_(arena_.nodeColumn(0)),
       max_(arena_.nodeColumn(0)),
       pi_(arena_.portColumn(0)) {
   installHooks();
+  offOrbit_.assign(static_cast<std::size_t>(this->graph().nodeCount()), 0);
+  for (NodeId p = 0; p < this->graph().nodeCount(); ++p) restamp(p);
 }
 
 void Dftno::installHooks() {
@@ -27,11 +28,13 @@ void Dftno::installHooks() {
   hooks.onRoundStart = [this](NodeId r) {
     eta_[r] = 0;
     max_[r] = 0;
+    restamp(r);
   };
   // Nodelabel at a non-root: next free name, after consulting the parent.
   hooks.onForward = [this](NodeId p, NodeId parent) {
     eta_[p] = (max_[parent] + 1) % modulus();
     max_[p] = eta_[p];
+    restamp(p);
   };
   // UpdateMax: the backtracked token carries the child's maximum.
   hooks.onBacktrack = [this](NodeId p, NodeId child) {
@@ -89,8 +92,8 @@ void Dftno::doExecute(NodeId p, int action) {
     return;
   }
   for (Port l = 0; l < graph().degree(p); ++l)
-    pi_.at(p, l) =
-        chordal(p, graph().neighborAt(p, l));
+    pi_.at(p, l) = chordal(p, graph().neighborAt(p, l));
+  restamp(p);
 }
 
 bool Dftno::doExecuteSimultaneous(std::span<const Move> moves) {
@@ -158,8 +161,11 @@ bool Dftno::doExecuteSimultaneous(std::span<const Move> moves) {
           p, Dftc::SimOutcome{step.s, step.col, step.d, step.par});
       eta_[p] = step.eta;
       max_[p] = step.max;
+      restamp(p);
     } else if (step.substrate == SimStep::kIdleOnly) {
       dftc_.commitIdle(p);
+    } else {
+      restamp(p);  // EdgeLabel's π row, written in phase 1
     }
   }
   return true;
@@ -170,6 +176,7 @@ void Dftno::doRandomizeNode(NodeId p, Rng& rng) {
   eta_[p] = rng.below(modulus());
   max_[p] = rng.below(modulus());
   for (auto& v : pi_.row(p)) v = rng.below(modulus());
+  restamp(p);
 }
 
 std::uint64_t Dftno::localStateCount(NodeId p) const {
@@ -203,6 +210,7 @@ void Dftno::doDecodeNode(NodeId p, std::uint64_t code) {
   max_[p] = static_cast<int>(overlay % nn);
   overlay /= nn;
   eta_[p] = static_cast<int>(overlay);
+  restamp(p);
 }
 
 std::string Dftno::dumpNode(NodeId p) const {
@@ -249,50 +257,43 @@ void Dftno::doSetRawNode(NodeId p, std::span<const int> values) {
   for (Port l = 0; l < graph().degree(p); ++l)
     pi_.at(p, l) =
         values[subLen + 2 + static_cast<std::size_t>(l)];
+  restamp(p);
 }
 
-void Dftno::buildOrbitIfNeeded() {
-  if (orbit_.has_value()) return;
-  const std::vector<int> saved = rawConfiguration();
-  // Bootstrap from a clean substrate boundary with a zeroed overlay and
-  // run a deterministic fair schedule (edge-label corrections first, then
-  // the unique token move) until a configuration repeats; the repeating
-  // suffix is the steady-state orbit.
-  dftc_.resetClean();
-  eta_.fill(0);
-  max_.fill(0);
-  pi_.fill(0);
-  std::map<std::vector<int>, int> seen;
-  std::vector<std::vector<int>> sequence;
-  while (true) {
-    std::vector<int> code = rawConfiguration();
-    const auto [it, inserted] =
-        seen.try_emplace(code, static_cast<int>(sequence.size()));
-    if (!inserted) {
-      orbit_.emplace();
-      for (std::size_t i = static_cast<std::size_t>(it->second);
-           i < sequence.size(); ++i)
-        orbit_->insert(std::move(sequence[i]));
-      break;
+bool Dftno::overlayOffOrbit(NodeId p) const {
+  const Graph& g = graph();
+  const int pre = dftc_.preorder(p);
+  return eta_[p] != pre ||
+         chordalRowMismatch(pi_.data().data() + g.portBase(p),
+                            g.neighbors(p).data(), dftc_.preorders().data(),
+                            pre, g.degree(p), modulus());
+}
+
+bool Dftno::isLegitimate() const {
+#ifndef NDEBUG
+  // Debug builds at n ≤ 64: the gate count equals a recount.
+  if (graph().nodeCount() <= 64) {
+    int count = 0;
+    for (NodeId p = 0; p < graph().nodeCount(); ++p) {
+      const std::uint8_t now = overlayOffOrbit(p) ? 1 : 0;
+      SSNO_ASSERT(offOrbit_[static_cast<std::size_t>(p)] == now);
+      count += now;
     }
-    sequence.push_back(std::move(code));
-    const std::vector<Move> moves = enabledMoves();
-    SSNO_ASSERT(!moves.empty());
-    const Move* pick = &moves.front();
-    for (const Move& m : moves) {
-      if (m.action == kEdgeLabel) {
-        pick = &m;
-        break;
-      }
-    }
-    execute(pick->node, pick->action);
+    SSNO_ASSERT(count == offOrbitCount_);
   }
-  setRawConfiguration(saved);
-}
-
-bool Dftno::isLegitimate() {
-  buildOrbitIfNeeded();
-  return orbit_->contains(rawConfiguration());
+#endif
+  if (offOrbitCount_ != 0 || !dftc_.isLegitimateSteady()) return false;
+  // The substrate is on its cycle, so every pointer targets a DFS child:
+  // Max_p is p's subtree maximum while p is idle, else the preorder of
+  // its target minus one.
+  const Graph& g = graph();
+  for (NodeId p = 0; p < g.nodeCount(); ++p) {
+    const Port l = dftc_.pointer(p);
+    const int want = l == kNoPort ? dftc_.subtreeMax(p)
+                                  : dftc_.preorder(g.neighborAt(p, l)) - 1;
+    if (max_[p] != want) return false;
+  }
+  return true;
 }
 
 double Dftno::stateBits(NodeId p) const {

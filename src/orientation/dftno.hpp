@@ -21,11 +21,19 @@
 //
 // Space: η, Max (log N bits each) + π (Δp·log N) + substrate O(log N)
 // = O(Δ·log N) per node, the paper's bound.
+//
+// Legitimacy (L_NO) has a closed form.  On the steady-state orbit the
+// substrate is on its two-round cycle (Dftc::isLegitimateSteady), and
+// the overlay is fixed by it: η_p is p's DFS preorder index, π_p holds
+// the chordal labels of those names, and Max_p is the largest preorder
+// in p's subtree while p is idle, or the preorder of its pointer target
+// minus one while the token is below p (the largest index visited
+// before that child).  A count of processors whose η or π row is off
+// those values, kept exact by every write of η or π (the token hooks
+// included), gates the O(n) substrate and Max comparison.
 #ifndef SSNO_ORIENTATION_DFTNO_HPP
 #define SSNO_ORIENTATION_DFTNO_HPP
 
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -114,9 +122,12 @@ class Dftno final : public Protocol {
   /// (found mechanically by the model checker; see DESIGN.md).  The
   /// steady-state orbit is the largest closed legitimate set, and
   /// SP1 ∧ SP2 hold everywhere on it (asserted by the tests).
-  [[nodiscard]] bool isLegitimate();
+  /// Closed form (see the header comment); no allocation.
+  [[nodiscard]] bool isLegitimate() const;
   /// L_TC alone (substrate stabilized).
-  [[nodiscard]] bool substrateLegitimate() { return dftc_.isLegitimate(); }
+  [[nodiscard]] bool substrateLegitimate() const {
+    return dftc_.isLegitimate();
+  }
 
   /// Direct access to the substrate (tests, benches, DFS-tree adapter).
   [[nodiscard]] Dftc& substrate() { return dftc_; }
@@ -139,6 +150,10 @@ class Dftno final : public Protocol {
   void doRandomizeNode(NodeId p, Rng& rng) override;
   void doDecodeNode(NodeId p, std::uint64_t code) override;
   void doSetRawNode(NodeId p, std::span<const int> values) override;
+  void onExternalWrite(NodeId p) override {
+    dftc_.noteExternalWrite(p);
+    restamp(p);
+  }
 
  private:
   [[nodiscard]] int chordal(NodeId p, NodeId q) const {
@@ -146,7 +161,15 @@ class Dftno final : public Protocol {
   }
   [[nodiscard]] bool invalidEdgeLabel(NodeId p) const;
   void installHooks();
-  void buildOrbitIfNeeded();
+  /// Whether p's η or π row differs from its steady-state value.
+  [[nodiscard]] bool overlayOffOrbit(NodeId p) const;
+  /// Re-files p's overlay gate bit after a write to p's η or π.
+  void restamp(NodeId p) {
+    auto& slot = offOrbit_[static_cast<std::size_t>(p)];
+    const std::uint8_t now = overlayOffOrbit(p) ? 1 : 0;
+    offOrbitCount_ += now - slot;
+    slot = now;
+  }
 
   Dftc dftc_;
   EdgeLabelGuard guard_;
@@ -174,8 +197,9 @@ class Dftno final : public Protocol {
     std::uint32_t substrate = kCommitted;
   };
   std::vector<SimStep> simSteps_;
-  // Exact raw configurations of the composed steady-state orbit.
-  std::optional<std::set<std::vector<int>>> orbit_;
+  // Overlay gate: per-node η/π off-orbit bit and the number set.
+  std::vector<std::uint8_t> offOrbit_;
+  int offOrbitCount_ = 0;
 };
 
 }  // namespace ssno

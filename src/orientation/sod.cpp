@@ -36,8 +36,7 @@ int nameFromCode(const Orientation& o, NodeId p, int code) {
 int translateCode(const Orientation& o, NodeId p, Port l, int code) {
   const Graph& g = *o.graph;
   const NodeId q = g.neighborAt(p, l);
-  const Port back = g.portOf(q, p);
-  SSNO_ASSERT(back != kNoPort);
+  const Port back = g.backPort(p, l);
   // η_q − η_t = (η_q − η_p) + (η_p − η_t) = π_q[back] + code.
   return (o.labelAt(q, back) + code) % o.modulus;
 }
@@ -87,12 +86,15 @@ bool hasConsistentTranslation(const Orientation& o) {
   for (NodeId p = 0; p < g.nodeCount(); ++p) {
     for (Port l = 0; l < g.degree(p); ++l) {
       const NodeId q = g.neighborAt(p, l);
+      // translateCode(o, p, l, ·) with its back-port label read once per
+      // link instead of once per target.
+      const int back = o.labelAt(q, g.backPort(p, l));
       for (NodeId t = 0; t < g.nodeCount(); ++t) {
         const int codeAtP = chordalDistance(o.nameOf(p), o.nameOf(t),
                                             o.modulus);
         const int codeAtQ = chordalDistance(o.nameOf(q), o.nameOf(t),
                                             o.modulus);
-        if (translateCode(o, p, l, codeAtP) != codeAtQ) return false;
+        if ((back + codeAtP) % o.modulus != codeAtQ) return false;
       }
     }
   }

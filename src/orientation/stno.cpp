@@ -10,7 +10,7 @@
 namespace ssno {
 
 Stno::Stno(Graph graph)
-    : Protocol(graph),
+    : Protocol(std::move(graph)),
       arena_(this->graph()),
       weight_(arena_.nodeColumn(1)),
       eta_(arena_.nodeColumn(0)),
@@ -21,7 +21,7 @@ Stno::Stno(Graph graph)
 }
 
 Stno::Stno(Graph graph, std::vector<NodeId> fixedParents)
-    : Protocol(graph),
+    : Protocol(std::move(graph)),
       arena_(this->graph()),
       weight_(arena_.nodeColumn(1)),
       eta_(arena_.nodeColumn(0)),
@@ -58,11 +58,10 @@ int Stno::expectedWeight(NodeId p) const {
 }
 
 int Stno::startFromParent(NodeId p) const {
-  const NodeId a = view_->parentOf(p);
-  SSNO_EXPECTS(a != kNoNode);
-  const Port l = graph().portOf(a, p);
-  SSNO_ASSERT(l != kNoPort);
-  return start_.at(a, l);
+  // Start_a[l] at the parent a, where l is a's port back to p.
+  const Port up = view_->parentPortOf(p);
+  SSNO_EXPECTS(up != kNoPort);
+  return start_.at(graph().neighborAt(p, up), graph().backPort(p, up));
 }
 
 bool Stno::startInconsistent(NodeId p) const {

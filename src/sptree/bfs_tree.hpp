@@ -58,6 +58,9 @@ class BfsTree final : public Protocol, public TreeView {
 
   // ---- TreeView interface ----
   [[nodiscard]] NodeId parentOf(NodeId p) const override;
+  [[nodiscard]] Port parentPortOf(NodeId p) const override {
+    return p == graph().root() ? kNoPort : par_[p];
+  }
   [[nodiscard]] const Graph& treeGraph() const override { return graph(); }
 
   // ---- Substrate-specific API ----

@@ -47,7 +47,7 @@ LexDfsTree::Cand LexDfsTree::candidateVia(NodeId p, Port l) const {
     return c;  // longer than any simple path: ⊤
   c.valid = true;
   c.prefix = word_.row(q);
-  c.last = graph().portOf(q, p);
+  c.last = graph().backPort(p, l);
   c.port = l;
   return c;
 }

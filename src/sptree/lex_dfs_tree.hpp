@@ -63,6 +63,9 @@ class LexDfsTree final : public Protocol, public TreeView {
 
   // ---- TreeView interface ----
   [[nodiscard]] NodeId parentOf(NodeId p) const override;
+  [[nodiscard]] Port parentPortOf(NodeId p) const override {
+    return p == graph().root() ? kNoPort : par_[p];
+  }
   [[nodiscard]] const Graph& treeGraph() const override { return graph(); }
 
   void collectArenas(std::vector<StateArena*>& out) override {

@@ -13,6 +13,11 @@ std::vector<NodeId> TreeView::childrenOf(NodeId p) const {
   return kids;
 }
 
+Port TreeView::parentPortOf(NodeId p) const {
+  const NodeId a = parentOf(p);
+  return a == kNoNode ? kNoPort : treeGraph().portOf(p, a);
+}
+
 TreeRole TreeView::roleOf(NodeId p) const {
   const Graph& g = treeGraph();
   if (p == g.root()) return TreeRole::kRoot;

@@ -25,6 +25,11 @@ class TreeView {
   /// A_p: the processor's current parent (kNoNode for the root).
   [[nodiscard]] virtual NodeId parentOf(NodeId p) const = 0;
 
+  /// p's port toward parentOf(p); kNoPort for the root.  The default
+  /// scans p's adjacency row; trees that store the parent as a port
+  /// return it directly.
+  [[nodiscard]] virtual Port parentPortOf(NodeId p) const;
+
   /// D_p: processors that currently designate p as their parent, in p's
   /// port order (this ordering makes STNO's Distribute deterministic).
   [[nodiscard]] std::vector<NodeId> childrenOf(NodeId p) const;

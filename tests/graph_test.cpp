@@ -7,6 +7,7 @@
 #include <set>
 
 #include "core/rng.hpp"
+#include "exp/topology.hpp"
 
 namespace ssno {
 namespace {
@@ -98,7 +99,7 @@ TEST(Graph, CsrMatchesReferenceAdjacency) {
         EXPECT_EQ(span[static_cast<std::size_t>(l)],
                   nbrs[static_cast<std::size_t>(l)]);
       }
-      // portOf: O(1) table vs reference linear scan, for every q.
+      // portOf vs a scan of the reference row, for every q.
       for (NodeId q = 0; q < n; ++q) {
         Port expected = kNoPort;
         for (std::size_t i = 0; i < nbrs.size(); ++i)
@@ -112,6 +113,76 @@ TEST(Graph, CsrMatchesReferenceAdjacency) {
     }
     EXPECT_EQ(g.maxDegree(), maxDeg);
   }
+}
+
+// portOf against a scan of the row, for every (p, q) — adjacent or not.
+void expectPortOfMatchesScan(const Graph& g) {
+  for (NodeId p = 0; p < g.nodeCount(); ++p) {
+    const auto row = g.neighbors(p);
+    for (NodeId q = 0; q < g.nodeCount(); ++q) {
+      Port expected = kNoPort;
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        if (row[i] == q) {
+          expected = static_cast<Port>(i);
+          break;
+        }
+      }
+      ASSERT_EQ(g.portOf(p, q), expected) << p << "->" << q;
+    }
+  }
+}
+
+// backPort(p, l) names the far end's port of every directed slot.
+void expectBackPortsInvert(const Graph& g) {
+  for (NodeId p = 0; p < g.nodeCount(); ++p) {
+    for (Port l = 0; l < g.degree(p); ++l) {
+      const NodeId q = g.neighborAt(p, l);
+      const Port back = g.backPort(p, l);
+      ASSERT_GE(back, 0);
+      ASSERT_LT(back, g.degree(q));
+      ASSERT_EQ(g.neighborAt(q, back), p) << p << " port " << l;
+      ASSERT_EQ(g.backPort(q, back), l);
+    }
+  }
+}
+
+TEST(Graph, BackPortAndPortOfOnEveryTopologyFamily) {
+  for (const char* spec :
+       {"ring:9", "path:7", "star:6", "complete:7", "hypercube:4",
+        "grid:4x5", "torus:4x5", "kary:20x3", "caterpillar:4x3",
+        "lollipop:5x4", "rtree:30:3", "er:30:0.2:5", "chordring:16:3,5",
+        "dreg:24:5:7", "plaw:40:1.0:9"}) {
+    SCOPED_TRACE(spec);
+    const Graph g = exp::TopologySpec::parse(spec).build();
+    expectBackPortsInvert(g);
+    expectPortOfMatchesScan(g);
+  }
+  Rng rng(0xBAC);
+  for (const Graph& g :
+       {Graph::randomTree(25, rng), Graph::randomConnected(25, 0.2, rng),
+        Graph::figure311(), Graph::figure221()}) {
+    expectBackPortsInvert(g);
+    expectPortOfMatchesScan(g);
+  }
+}
+
+TEST(Graph, PortOfOnHighDegreeHub) {
+  const Graph g = Graph::star(300);
+  for (NodeId q = 1; q < 300; ++q) {
+    ASSERT_EQ(g.portOf(0, q), q - 1);
+    ASSERT_EQ(g.portOf(q, 0), 0);
+    ASSERT_EQ(g.backPort(0, q - 1), 0);
+  }
+  EXPECT_EQ(g.portOf(1, 2), kNoPort);
+  EXPECT_EQ(g.portOf(0, 0), kNoPort);
+}
+
+TEST(Graph, RejectsDuplicateEdgeAnywhereInTheList) {
+  EXPECT_THROW(Graph(4, {{0, 1}, {1, 2}, {2, 3}, {2, 1}}),
+               std::invalid_argument);
+  EXPECT_THROW(Graph(3, {{0, 1}, {1, 2}, {0, 1}}), std::invalid_argument);
+  EXPECT_THROW(Graph(3, {{0, 1}, {1, 2}, {2, 2}}), std::invalid_argument);
+  EXPECT_NO_THROW(Graph(3, {{0, 1}, {1, 2}, {2, 0}}));
 }
 
 TEST(GraphBuilders, Ring) {
