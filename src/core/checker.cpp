@@ -231,24 +231,25 @@ CheckResult ModelChecker::verifyFullSpace(std::uint64_t maxConfigs,
     // for a fair-feasible cycle.  Pair masks are multi-word, so there
     // is no node·actions <= 64 cap.
     mc::TransitionGraph g;
-    g.adj.resize(illegitCount);
     g.initMasks(illegitCount,
                 static_cast<std::size_t>(protocol_.graph().nodeCount()) *
                     static_cast<std::size_t>(actions));
     std::vector<std::uint64_t> localToGlobal(illegitCount);
     for (std::uint64_t c = 0; c < total; ++c) {
       if (isLegit[c]) continue;
-      const std::uint64_t id = illegitIds[c];
+      const std::uint64_t id = illegitIds[c];  // == g.stateCount()
       localToGlobal[id] = c;
+      g.addState();
       forEachMove(expand(c), [&](const Move& m) {
-        const int pair = m.node * actions + m.action;
-        bits::maskSet(g.maskOf(id), static_cast<std::size_t>(pair));
+        const auto pair =
+            static_cast<std::uint32_t>(m.node * actions + m.action);
+        bits::maskSet(g.maskOf(id), pair);
         const std::uint64_t s = successorOf(c, m);
         if (!isLegit[s])
-          g.adj[id].push_back({static_cast<int>(illegitIds[s]), pair});
+          g.addEdge(static_cast<std::uint32_t>(illegitIds[s]), pair);
       });
     }
-    const int bad = mc::findFairCycle(g, fairness);
+    const std::int64_t bad = mc::findFairCycle(g, fairness);
     if (bad >= 0) {
       ix.decodeDelta(protocol_,
                      localToGlobal[static_cast<std::size_t>(bad)]);
@@ -465,20 +466,21 @@ CheckResult ModelChecker::verifyReachable(
           static_cast<int>(localToGlobal.size());
       localToGlobal.push_back(c);
     }
-    g.adj.resize(localToGlobal.size());
     g.initMasks(localToGlobal.size(), pairBits);
     for (int c = 0; c < total; ++c) {
-      const int lc = localId[static_cast<std::size_t>(c)];
+      const int lc = localId[static_cast<std::size_t>(c)];  // == stateCount
       if (lc < 0) continue;
+      g.addState();
       std::copy_n(enabledMask.data() + static_cast<std::size_t>(c) * maskWords,
                   maskWords, g.maskOf(static_cast<std::size_t>(lc)));
       for (const auto& e : adj[static_cast<std::size_t>(c)]) {
         const int lt = localId[static_cast<std::size_t>(e.to)];
         if (lt >= 0)
-          g.adj[static_cast<std::size_t>(lc)].push_back({lt, e.actorPair});
+          g.addEdge(static_cast<std::uint32_t>(lt),
+                    static_cast<std::uint32_t>(e.actorPair));
       }
     }
-    const int bad = mc::findFairCycle(g, fairness);
+    const std::int64_t bad = mc::findFairCycle(g, fairness);
     if (bad >= 0) {
       protocol_.decodeConfigurationDelta(
           configs[static_cast<std::size_t>(

@@ -7,6 +7,7 @@
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -27,6 +28,8 @@ namespace {
 
 constexpr std::size_t kFrontierBatch = 1024;  // worker -> spill flush size
 constexpr std::size_t kWorkChunk = 64;        // frontier ids per claim
+/// Exclusive bound on store ids the recorded graph can hold (32-bit).
+constexpr std::uint64_t kRecordedIdBound = std::uint64_t{1} << 32;
 
 // Batched per run / per level — never touched inside expand().
 const obs::Counter kMcStates =
@@ -90,6 +93,48 @@ void runWorkers(int threads, const std::function<void(int)>& fn) {
 }
 
 
+/// Append-only log in fixed-size chunks: growing it never copies or
+/// over-allocates (a doubling std::vector briefly holds three times its
+/// contents), and drain() frees each chunk as soon as it has been read.
+template <typename T>
+class ChunkLog {
+ public:
+  static constexpr std::size_t kChunk = std::size_t{1} << 15;  // entries
+
+  void push(const T& v) {
+    if (fill_ == kChunk) {
+      chunks_.push_back(std::make_unique_for_overwrite<T[]>(kChunk));
+      fill_ = 0;
+    }
+    chunks_.back()[fill_++] = v;
+  }
+  [[nodiscard]] std::size_t size() const {
+    return chunks_.size() * kChunk - (kChunk - fill_);
+  }
+  /// Visits every entry in append order, then leaves the log empty.
+  template <typename Fn>
+  void drain(Fn&& fn) {
+    for (std::size_t c = 0; c < chunks_.size(); ++c) {
+      const std::size_t n = c + 1 == chunks_.size() ? fill_ : kChunk;
+      for (std::size_t i = 0; i < n; ++i) fn(chunks_[c][i]);
+      chunks_[c].reset();
+    }
+    chunks_.clear();
+    fill_ = kChunk;
+  }
+
+ private:
+  std::vector<std::unique_ptr<T[]>> chunks_;
+  std::size_t fill_ = kChunk;  // entries used in the last chunk
+};
+
+/// One illegitimate state's run in a worker's recorded graph: its store
+/// id and how many of the worker's recorded edges that follow are its.
+struct RecordedState {
+  std::uint32_t id;
+  std::uint32_t edges;
+};
+
 /// One exploration worker: its own protocol instance, incremental
 /// enabled cache, and the key it currently has decoded.
 struct Worker {
@@ -108,6 +153,15 @@ struct Worker {
   /// reused selection buffer for the cartesian-product enumeration.
   std::unique_ptr<SimultaneousEngine> engine;
   std::vector<Move> selScratch;
+  /// The illegitimate sub-digraph as this worker expanded it: per
+  /// illegitimate state, in expansion order, its RecordedState, its
+  /// edges to illegitimate children (child store id, actor pair) in
+  /// enumeration order, and — fairness-aware modes only — its
+  /// enabled-pair mask (maskScratch words).
+  ChunkLog<RecordedState> states;
+  ChunkLog<TransitionGraph::Edge> edges;
+  ChunkLog<std::uint64_t> masks;
+  std::vector<std::uint64_t> maskScratch;
 };
 
 /// Shared state of one checkFullSpace/checkReachable run.
@@ -135,9 +189,15 @@ class Run {
     codec_ = std::make_unique<StateCodec>(*workers_[0].protocol);
     actions_ = workers_[0].protocol->actionCount();
     store_ = std::make_unique<StateStore>(codec_->words(), capacity);
+    if (opt.fairness != Fairness::kNone)
+      maskWords_ = std::max<std::size_t>(
+          1, bits::wordsFor(static_cast<std::size_t>(
+                                workers_[0].protocol->graph().nodeCount()) *
+                            static_cast<std::size_t>(actions_)));
     for (Worker& w : workers_) {
       w.cur.resize(static_cast<std::size_t>(codec_->words()));
       w.childKey.resize(static_cast<std::size_t>(codec_->words()));
+      w.maskScratch.resize(maskWords_);
     }
     current_ = std::make_unique<FrontierSpill>(opt.spillCapacity, opt.spillDir);
     next_ = std::make_unique<FrontierSpill>(opt.spillCapacity, opt.spillDir);
@@ -190,7 +250,9 @@ class Run {
   /// Expands one frontier state: enumerate enabled moves from the
   /// incremental cache, patch each successor key in O(1), intern it,
   /// and restore the acted node.  Closure and deadlock candidates are
-  /// offered to the canonical-min selector.
+  /// offered to the canonical-min selector; an illegitimate state's
+  /// edges to illegitimate children (and its enabled-pair mask) are
+  /// recorded for the convergence check.
   void expand(Worker& w, std::uint64_t id, std::uint32_t depth) {
     const std::uint64_t* key = store_->keyOf(id);
     decodeTo(w, key);
@@ -205,6 +267,14 @@ class Run {
              std::vector<std::uint64_t>(key, key + codec_->words()), 0});
       return;
     }
+    // Store ids fit 32 bits: exploreLevels stops at the first level
+    // barrier where the store's id bound passes kRecordedIdBound.
+    std::uint32_t recorded = 0;
+    auto record = [&](const StateStore::Ref& r, std::uint32_t pair) {
+      if (parentLegit || r.legit) return;
+      w.edges.push({static_cast<std::uint32_t>(r.id), pair});
+      ++recorded;
+    };
     if (opt_.synchronousSteps) {
       // Synchronous semantics: one successor per simultaneous selection
       // (every enabled node acts), executed in place by the columnar
@@ -225,32 +295,59 @@ class Run {
               offer({kClosure,
                      std::vector<std::uint64_t>(key, key + codec_->words()),
                      kSyncMove});
+            record(r, kSyncMove);
           });
-      return;
+    } else {
+      std::fill(w.maskScratch.begin(), w.maskScratch.end(), 0);
+      forEachMove(w.enabled, [&](const Move& m) {
+        w.protocol->execute(m.node, m.action);
+        std::memcpy(w.childKey.data(), w.cur.data(),
+                    static_cast<std::size_t>(codec_->words()) * 8);
+        codec_->setNodeCode(w.childKey.data(), m.node,
+                            w.protocol->encodeNode(m.node));
+        const auto pair =
+            static_cast<std::uint32_t>(m.node * actions_ + m.action);
+        const StateStore::Ref r =
+            intern(w, w.childKey.data(), depth + 1, key, id, pair);
+        if (r.inserted) pushNext(w, r.id);
+        if (parentLegit && !r.legit)
+          offer({kClosure,
+                 std::vector<std::uint64_t>(key, key + codec_->words()),
+                 pair});
+        record(r, pair);
+        if (!w.maskScratch.empty())
+          bits::maskSet(w.maskScratch.data(), pair);
+        // A statement writes only its own processor's variables, so
+        // restoring the acted node alone returns the protocol to `key`.
+        w.protocol->decodeNode(m.node, codec_->nodeCode(key, m.node));
+      });
     }
-    forEachMove(w.enabled, [&](const Move& m) {
-      w.protocol->execute(m.node, m.action);
-      std::memcpy(w.childKey.data(), w.cur.data(),
-                  static_cast<std::size_t>(codec_->words()) * 8);
-      codec_->setNodeCode(w.childKey.data(), m.node,
-                          w.protocol->encodeNode(m.node));
-      const auto pair =
-          static_cast<std::uint32_t>(m.node * actions_ + m.action);
-      const StateStore::Ref r =
-          intern(w, w.childKey.data(), depth + 1, key, id, pair);
-      if (r.inserted) pushNext(w, r.id);
-      if (parentLegit && !r.legit)
-        offer({kClosure,
-               std::vector<std::uint64_t>(key, key + codec_->words()), pair});
-      // A statement writes only its own processor's variables, so
-      // restoring the acted node alone returns the protocol to `key`.
-      w.protocol->decodeNode(m.node, codec_->nodeCode(key, m.node));
-    });
+    if (parentLegit) return;
+    w.states.push({static_cast<std::uint32_t>(id), recorded});
+    for (std::uint64_t word : w.maskScratch) w.masks.push(word);
+  }
+
+  /// True while the store fits its bounds: no arena overflow, at most
+  /// maxStates states, and ids the recorded graph can hold.
+  [[nodiscard]] bool withinBounds() const {
+    return !store_->overflowed() && store_->size() <= opt_.maxStates &&
+           !idsTooWide();
+  }
+  [[nodiscard]] bool idsTooWide() const {
+    return store_->idBound() > kRecordedIdBound;
+  }
+
+  /// Adds the states interned since the last call (seeds included) to
+  /// mc_states_total, so its delta over a run is statesExplored.
+  void countStates() {
+    const std::uint64_t size = store_->size();
+    kMcStates.inc(size - statesCounted_);
+    statesCounted_ = size;
   }
 
   /// Runs BFS levels until the frontier dries up, a violation level
-  /// completes, or the store overflows.  Seeds must already be in
-  /// next_.  Returns false on overflow.
+  /// completes, or the store leaves its bounds.  Seeds must already be
+  /// in next_.  Returns false when out of bounds (see withinBounds).
   bool exploreLevels(Result& res) {
     std::uint32_t depth = 0;
     std::vector<std::uint64_t> wave;
@@ -259,7 +356,7 @@ class Run {
             ? static_cast<std::size_t>(opt_.spillCapacity)
             : std::numeric_limits<std::size_t>::max();
     for (Worker& w : workers_) flushNext(w);
-    if (store_->overflowed() || store_->size() > opt_.maxStates) return false;
+    if (!withinBounds()) return false;
     while (next_->size() > 0) {
       std::swap(current_, next_);
       next_->reset();
@@ -287,12 +384,11 @@ class Run {
       res.spillRuns = current_->runsWritten() + next_->runsWritten();
       current_->reset();
       kMcLevels.inc();
-      kMcStates.inc(store_->size() - statesBefore);
+      countStates();
       kMcStoreLoadPct.set(
           static_cast<std::int64_t>(store_->loadFactor() * 100.0));
       levelSpan.arg("states_added", store_->size() - statesBefore);
-      if (store_->overflowed() || store_->size() > opt_.maxStates)
-        return false;
+      if (!withinBounds()) return false;
       if (best_) break;  // violation level completed: canonical min final
       ++depth;
     }
@@ -374,100 +470,73 @@ class Run {
     }
   }
 
-  /// Convergence: rebuild the illegitimate sub-digraph in canonical
-  /// (key-sorted) order and look for a (fair-feasible) cycle.
+  /// Convergence, on the illegitimate sub-digraph recorded during BFS.
+  /// The verdict does not depend on the labelling, so a passing check
+  /// runs findFairCycle once on the graph in recorded order.  On a
+  /// violation the graph is relabelled in key order and searched again,
+  /// so the reported state is canonical (independent of thread count).
   void checkConvergence() {
     obs::TraceSpan span("mc_convergence");
     obs::ScopedTimer timer(kMcConvergenceNs);
-    std::vector<std::uint64_t> illegit;
-    store_->forEach([&](std::uint64_t id) {
-      if (!store_->legit(id)) illegit.push_back(id);
-    });
-    std::sort(illegit.begin(), illegit.end(),
-              [&](std::uint64_t a, std::uint64_t b) {
-                const std::uint64_t* ka = store_->keyOf(a);
-                const std::uint64_t* kb = store_->keyOf(b);
-                for (int wd = 0; wd < codec_->words(); ++wd)
-                  if (ka[wd] != kb[wd]) return ka[wd] < kb[wd];
-                return false;
-              });
-    std::vector<std::int32_t> localIdx(
-        static_cast<std::size_t>(store_->idBound()), -1);
-    for (std::size_t i = 0; i < illegit.size(); ++i)
-      localIdx[static_cast<std::size_t>(illegit[i])] =
-          static_cast<std::int32_t>(i);
-
     TransitionGraph g;
-    g.adj.resize(illegit.size());
-    const bool useMasks = opt_.fairness != Fairness::kNone;
-    const std::size_t pairBits =
-        static_cast<std::size_t>(
-            workers_[0].protocol->graph().nodeCount()) *
-        static_cast<std::size_t>(actions_);
-    g.initMasks(illegit.size(), useMasks ? pairBits : 1);
-    std::atomic<std::size_t> cursor{0};
-    runWorkers(threads_, [&](int t) {
-      Worker& w = worker(t);
-      for (std::size_t base = cursor.fetch_add(kWorkChunk);
-           base < illegit.size(); base = cursor.fetch_add(kWorkChunk)) {
-        const std::size_t end = std::min(base + kWorkChunk, illegit.size());
-        for (std::size_t i = base; i < end; ++i) {
-          const std::uint64_t* key = store_->keyOf(illegit[i]);
-          decodeTo(w, key);
-          w.enabled.clear();
-          w.cache->refreshView().appendNodeMasks(w.enabled);
-          if (opt_.synchronousSteps) {
-            // Fairness is kNone here (enforced at entry): edges only,
-            // pair masks unused.
-            forEachSimultaneousSelection(
-                w.enabled, w.selScratch, [&](std::span<const Move> set) {
-                  w.engine->execute(set);
-                  std::memcpy(w.childKey.data(), w.cur.data(),
-                              static_cast<std::size_t>(codec_->words()) * 8);
-                  for (const Move& m : set)
-                    codec_->setNodeCode(w.childKey.data(), m.node,
-                                        w.protocol->encodeNode(m.node));
-                  w.engine->undo();
-                  const std::uint64_t cid =
-                      store_->find(w.childKey.data(),
-                                   codec_->hash(w.childKey.data()));
-                  SSNO_ASSERT(cid != StateStore::kNoId);
-                  const std::int32_t ci =
-                      localIdx[static_cast<std::size_t>(cid)];
-                  if (ci >= 0) g.adj[i].push_back({ci, 0});
-                });
-            continue;
-          }
-          forEachMove(w.enabled, [&](const Move& m) {
-            const auto pair =
-                static_cast<std::uint32_t>(m.node * actions_ + m.action);
-            if (useMasks)
-              bits::maskSet(g.maskOf(i), static_cast<std::size_t>(pair));
-            w.protocol->execute(m.node, m.action);
-            std::memcpy(w.childKey.data(), w.cur.data(),
-                        static_cast<std::size_t>(codec_->words()) * 8);
-            codec_->setNodeCode(w.childKey.data(), m.node,
-                                w.protocol->encodeNode(m.node));
-            const std::uint64_t cid =
-                store_->find(w.childKey.data(),
-                             codec_->hash(w.childKey.data()));
-            SSNO_ASSERT(cid != StateStore::kNoId);
-            const std::int32_t ci =
-                localIdx[static_cast<std::size_t>(cid)];
-            if (ci >= 0)
-              g.adj[i].push_back({ci, static_cast<int>(pair)});
-            w.protocol->decodeNode(m.node, codec_->nodeCode(key, m.node));
-          });
-        }
-      }
-    });
-    const int bad = findFairCycle(g, opt_.fairness);
-    if (bad >= 0) {
-      const std::uint64_t* key =
-          store_->keyOf(illegit[static_cast<std::size_t>(bad)]);
-      offer({kFairCycle,
-             std::vector<std::uint64_t>(key, key + codec_->words()), 0});
+    const std::vector<std::uint32_t> storeIds = buildRecordedGraph(g);
+    if (findFairCycle(g, opt_.fairness) < 0) return;
+    std::vector<std::uint32_t> order(storeIds.size());
+    std::iota(order.begin(), order.end(), 0u);
+    const auto words = static_cast<std::size_t>(codec_->words());
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                const std::uint64_t* ka = store_->keyOf(storeIds[a]);
+                const std::uint64_t* kb = store_->keyOf(storeIds[b]);
+                return std::lexicographical_compare(ka, ka + words, kb,
+                                                    kb + words);
+              });
+    g = relabeled(g, order);
+    const std::int64_t bad = findFairCycle(g, opt_.fairness);
+    SSNO_ASSERT(bad >= 0);
+    const std::uint64_t* key =
+        store_->keyOf(storeIds[order[static_cast<std::size_t>(bad)]]);
+    offer({kFairCycle, std::vector<std::uint64_t>(key, key + words), 0});
+  }
+
+  /// Assembles the workers' recorded runs into g as CSR, local ids in
+  /// recorded (worker-major) order, freeing each log as it is read.
+  /// Returns the store id of every local id.
+  std::vector<std::uint32_t> buildRecordedGraph(TransitionGraph& g) {
+    constexpr std::uint32_t kNoLocal =
+        std::numeric_limits<std::uint32_t>::max();
+    std::size_t states = 0;
+    std::size_t edges = 0;
+    for (const Worker& w : workers_) {
+      states += w.states.size();
+      edges += w.edges.size();
     }
+    SSNO_ASSERT(states < kNoLocal);
+    std::vector<std::uint32_t> localOf(
+        static_cast<std::size_t>(store_->idBound()), kNoLocal);
+    std::vector<std::uint32_t> storeIds;
+    storeIds.reserve(states);
+    g.offsets.reserve(states + 1);
+    for (Worker& w : workers_)
+      w.states.drain([&](const RecordedState& r) {
+        localOf[r.id] = static_cast<std::uint32_t>(storeIds.size());
+        storeIds.push_back(r.id);
+        g.offsets.push_back(g.offsets.back() + r.edges);
+      });
+    g.edges.reserve(edges);
+    for (Worker& w : workers_)
+      w.edges.drain([&](const TransitionGraph::Edge& e) {
+        SSNO_DBG_ASSERT(localOf[e.to] != kNoLocal);
+        g.edges.push_back({localOf[e.to], e.actorPair});
+      });
+    if (maskWords_ > 0) {
+      g.maskWords = static_cast<int>(maskWords_);
+      g.enabledMask.reserve(states * maskWords_);
+      for (Worker& w : workers_)
+        w.masks.drain(
+            [&](std::uint64_t word) { g.enabledMask.push_back(word); });
+    }
+    return storeIds;
   }
 
   [[nodiscard]] std::uint64_t transitions() const {
@@ -487,14 +556,20 @@ class Run {
   std::mutex violationMu_;
   std::optional<Violation> best_;
   std::atomic<std::uint64_t> transitions_{0};
+  std::uint64_t statesCounted_ = 0;  // store size at the last countStates()
+  std::size_t maskWords_ = 0;  // enabled-pair mask words; 0 for kNone
 };
 
 Result finish(Run& run, Result res,
               const std::chrono::steady_clock::time_point& start,
               bool overflowOk, const char* overflowMessage) {
+  run.countStates();
   res.statesExplored = run.store().size();
   res.transitions = run.transitions();
-  if (!overflowOk) {
+  if (run.idsTooWide()) {
+    res.failure = "state ids exceed 32 bits; the illegitimate sub-digraph "
+                  "cannot be recorded";
+  } else if (!overflowOk) {
     res.failure = overflowMessage;
   } else if (run.best()) {
     run.report(res);

@@ -33,10 +33,22 @@
 //   * closure    — a legitimate configuration with an illegitimate
 //                  successor fails;
 //   * no deadlock — an illegitimate terminal configuration fails;
-//   * convergence — after exploration, the illegitimate sub-digraph is
-//                  rebuilt in canonical (key-sorted) order and analyzed
-//                  by mc/properties: acyclicity for Fairness::kNone, no
-//                  fair-feasible SCC cycle otherwise.
+//   * convergence — checked on the illegitimate sub-digraph recorded
+//                  during BFS, never re-derived.  Expanding an
+//                  illegitimate state appends, to the worker's chunked
+//                  logs, its edges to illegitimate children (32-bit
+//                  child store id, actor pair; enumeration order) and,
+//                  under weak/strong fairness, its enabled-pair mask.
+//                  After exploration the logs become one CSR
+//                  TransitionGraph (local ids in worker-major recorded
+//                  order; each log is freed as it is read) and
+//                  mc/properties looks for a cycle (Fairness::kNone) or
+//                  a fair-feasible SCC.  The verdict is labelling-free,
+//                  so a passing check sorts nothing.  On a violation the
+//                  graph is relabelled in key order and searched again,
+//                  which reports the same state for any thread count.
+//                  Store ids beyond 32 bits fail the check with a named
+//                  error at the level barrier.
 #ifndef SSNO_MC_EXPLORER_HPP
 #define SSNO_MC_EXPLORER_HPP
 

@@ -1,8 +1,10 @@
 #include "mc/properties.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
+#include "core/assert.hpp"
 #include "core/bitwords.hpp"
 
 namespace ssno::mc {
@@ -20,112 +22,123 @@ void TransitionGraph::initMasks(std::size_t states, std::size_t pairBits) {
   enabledMask.assign(states * static_cast<std::size_t>(maskWords), 0);
 }
 
-int findFairCycle(const TransitionGraph& g, Fairness fairness) {
-  const int n = static_cast<int>(g.adj.size());
-  // Iterative Tarjan.
-  std::vector<int> index(static_cast<std::size_t>(n), -1);
-  std::vector<int> low(static_cast<std::size_t>(n), 0);
-  std::vector<int> sccOf(static_cast<std::size_t>(n), -1);
-  std::vector<bool> onStack(static_cast<std::size_t>(n), false);
-  std::vector<int> tarjanStack;
-  int nextIndex = 0;
-  int sccCount = 0;
-
-  struct Frame {
-    int v;
-    std::size_t child;
-  };
-  std::vector<Frame> callStack;
-  for (int start = 0; start < n; ++start) {
-    if (index[static_cast<std::size_t>(start)] != -1) continue;
-    callStack.push_back({start, 0});
-    index[static_cast<std::size_t>(start)] =
-        low[static_cast<std::size_t>(start)] = nextIndex++;
-    tarjanStack.push_back(start);
-    onStack[static_cast<std::size_t>(start)] = true;
-    while (!callStack.empty()) {
-      Frame& f = callStack.back();
-      const auto& edges = g.adj[static_cast<std::size_t>(f.v)];
-      if (f.child < edges.size()) {
-        const int w = edges[f.child++].to;
-        if (index[static_cast<std::size_t>(w)] == -1) {
-          index[static_cast<std::size_t>(w)] =
-              low[static_cast<std::size_t>(w)] = nextIndex++;
-          tarjanStack.push_back(w);
-          onStack[static_cast<std::size_t>(w)] = true;
-          callStack.push_back({w, 0});
-        } else if (onStack[static_cast<std::size_t>(w)]) {
-          low[static_cast<std::size_t>(f.v)] =
-              std::min(low[static_cast<std::size_t>(f.v)],
-                       index[static_cast<std::size_t>(w)]);
-        }
-      } else {
-        const int v = f.v;
-        callStack.pop_back();
-        if (!callStack.empty()) {
-          const int parent = callStack.back().v;
-          low[static_cast<std::size_t>(parent)] =
-              std::min(low[static_cast<std::size_t>(parent)],
-                       low[static_cast<std::size_t>(v)]);
-        }
-        if (low[static_cast<std::size_t>(v)] ==
-            index[static_cast<std::size_t>(v)]) {
-          while (true) {
-            const int w = tarjanStack.back();
-            tarjanStack.pop_back();
-            onStack[static_cast<std::size_t>(w)] = false;
-            sccOf[static_cast<std::size_t>(w)] = sccCount;
-            if (w == v) break;
-          }
-          ++sccCount;
-        }
-      }
-    }
+TransitionGraph relabeled(const TransitionGraph& g,
+                          std::span<const std::uint32_t> order) {
+  const std::size_t n = g.stateCount();
+  SSNO_EXPECTS(order.size() == n);
+  std::vector<std::uint32_t> newId(n);
+  for (std::size_t i = 0; i < n; ++i)
+    newId[order[i]] = static_cast<std::uint32_t>(i);
+  TransitionGraph out;
+  out.offsets.reserve(n + 1);
+  out.edges.reserve(g.edges.size());
+  const bool masks = !g.enabledMask.empty();
+  const auto words = static_cast<std::size_t>(g.maskWords);
+  out.maskWords = g.maskWords;
+  if (masks) out.enabledMask.resize(n * words);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.addState();
+    for (const TransitionGraph::Edge& e : g.edgesOf(order[i]))
+      out.addEdge(newId[e.to], e.actorPair);
+    if (masks)
+      std::copy_n(g.maskOf(order[i]), words, out.maskOf(i));
   }
+  return out;
+}
 
-  // Per-SCC aggregates, as flat multi-word mask arenas (one slab per
-  // aggregate; no per-SCC allocations even when pair counts are large).
+std::int64_t findFairCycle(const TransitionGraph& g, Fairness fairness) {
+  constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
+  const std::size_t n = g.stateCount();
+  SSNO_EXPECTS(n < kUnset);
   const bool useMasks = fairness != Fairness::kNone;
-  const auto words =
-      static_cast<std::size_t>(useMasks ? g.maskWords : 1);
-  const std::size_t scc = static_cast<std::size_t>(sccCount);
-  std::vector<std::uint64_t> enabledAll(scc * words, ~0ULL);
-  std::vector<std::uint64_t> enabledAny(scc * words, 0);
-  std::vector<std::uint64_t> actsInside(scc * words, 0);
-  std::vector<bool> hasInternalEdge(scc, false);
-  std::vector<int> representative(scc, -1);
-  for (int v = 0; v < n; ++v) {
-    const auto s = static_cast<std::size_t>(sccOf[static_cast<std::size_t>(v)]);
-    if (useMasks) {
-      bits::maskAndInto(enabledAll.data() + s * words,
-                        g.maskOf(static_cast<std::size_t>(v)), words);
-      bits::maskOrInto(enabledAny.data() + s * words,
-                       g.maskOf(static_cast<std::size_t>(v)), words);
-    }
-    representative[s] = v;
-    for (const auto& e : g.adj[static_cast<std::size_t>(v)]) {
-      if (static_cast<std::size_t>(sccOf[static_cast<std::size_t>(e.to)]) ==
-          s) {
-        hasInternalEdge[s] = true;
-        if (useMasks)
-          bits::maskSet(actsInside.data() + s * words,
-                        static_cast<std::size_t>(e.actorPair));
+  const std::size_t words =
+      useMasks ? static_cast<std::size_t>(g.maskWords) : 0;
+  // Iterative Tarjan.  A visited state is on the Tarjan stack until its
+  // SCC is popped and numbered.
+  std::vector<std::uint32_t> index(n, kUnset);
+  std::vector<std::uint32_t> low(n, 0);
+  std::vector<std::uint32_t> sccOf(n, kUnset);
+  std::vector<std::uint32_t> tarjanStack;
+  std::uint32_t nextIndex = 0;
+  std::uint32_t sccCount = 0;
+  // One aggregate buffer reused by every SCC: the pairs enabled at all
+  // of its states, at some of them, and acting on internal edges.
+  std::vector<std::uint64_t> agg(3 * words);
+  std::uint64_t* enabledAll = agg.data();
+  std::uint64_t* enabledAny = agg.data() + words;
+  std::uint64_t* actsInside = agg.data() + 2 * words;
+
+  // Numbers the SCC tarjanStack[from..) just completed and reports
+  // whether it hosts a (fair-feasible) cycle.
+  auto violates = [&](std::size_t from) {
+    const std::uint32_t s = sccCount++;
+    for (std::size_t i = from; i < tarjanStack.size(); ++i)
+      sccOf[tarjanStack[i]] = s;
+    std::fill(enabledAll, enabledAll + words, ~std::uint64_t{0});
+    std::fill(enabledAny, enabledAny + words, 0);
+    std::fill(actsInside, actsInside + words, 0);
+    bool internalEdge = false;
+    for (std::size_t i = from; i < tarjanStack.size(); ++i) {
+      const std::uint32_t v = tarjanStack[i];
+      if (useMasks) {
+        bits::maskAndInto(enabledAll, g.maskOf(v), words);
+        bits::maskOrInto(enabledAny, g.maskOf(v), words);
+      }
+      for (const TransitionGraph::Edge& e : g.edgesOf(v)) {
+        if (sccOf[e.to] != s) continue;
+        if (!useMasks) return true;
+        internalEdge = true;
+        bits::maskSet(actsInside, e.actorPair);
       }
     }
-  }
-
-  for (std::size_t s = 0; s < scc; ++s) {
-    if (!hasInternalEdge[s]) continue;
-    if (fairness == Fairness::kNone) return representative[s];
+    if (!internalEdge) return false;
     // The SCC hosts a fair infinite execution iff no action that the
     // fairness notion protects is starved inside it.  (enabledAll is an
     // AND over configuration masks, so stray high bits vanish.)
-    const std::uint64_t* protectedPairs =
-        fairness == Fairness::kStronglyFair ? enabledAny.data() + s * words
-                                            : enabledAll.data() + s * words;
-    if (bits::maskSubsetOf(protectedPairs, actsInside.data() + s * words,
-                           words))
-      return representative[s];
+    return bits::maskSubsetOf(
+        fairness == Fairness::kStronglyFair ? enabledAny : enabledAll,
+        actsInside, words);
+  };
+
+  struct Frame {
+    std::uint32_t v;
+    std::uint64_t next;  // cursor into g.edges
+  };
+  std::vector<Frame> callStack;
+  auto visit = [&](std::uint32_t v) {
+    index[v] = low[v] = nextIndex++;
+    tarjanStack.push_back(v);
+    callStack.push_back({v, g.offsets[v]});
+  };
+  for (std::size_t start = 0; start < n; ++start) {
+    if (index[start] != kUnset) continue;
+    visit(static_cast<std::uint32_t>(start));
+    while (!callStack.empty()) {
+      Frame& f = callStack.back();
+      if (f.next < g.offsets[f.v + 1]) {
+        const std::uint32_t w = g.edges[f.next++].to;
+        if (index[w] == kUnset)
+          visit(w);
+        else if (sccOf[w] == kUnset)  // on the Tarjan stack
+          low[f.v] = std::min(low[f.v], index[w]);
+        continue;
+      }
+      const std::uint32_t v = f.v;
+      callStack.pop_back();
+      if (!callStack.empty()) {
+        const std::uint32_t parent = callStack.back().v;
+        low[parent] = std::min(low[parent], low[v]);
+      }
+      if (low[v] != index[v]) continue;
+      std::size_t from = tarjanStack.size();
+      while (tarjanStack[--from] != v) {
+      }
+      if (violates(from))
+        return *std::max_element(tarjanStack.begin() +
+                                     static_cast<std::ptrdiff_t>(from),
+                                 tarjanStack.end());
+      tarjanStack.resize(from);
+    }
   }
   return -1;
 }

@@ -1,10 +1,13 @@
 // Convergence-property analysis on an explicit illegitimate sub-digraph.
 //
 // Shared by the sequential ModelChecker and the parallel src/mc
-// explorer (the SCC fairness logic formerly private to core/checker.cpp
-// lives here now).  States are dense local ids; edges carry the acting
-// (node, action) pair.  Convergence holds iff the illegitimate region
-// admits no infinite execution the daemon model allows:
+// explorer.  The graph is compressed sparse row (CSR): states are dense
+// local ids 0..stateCount()-1, state v's out-edges are
+// edges[offsets[v] .. offsets[v+1]) in the order the builder enumerated
+// its moves, each edge carrying the acting (node, action) pair, and a
+// flat arena holds one multi-word enabled-pair mask per state.
+// Convergence holds iff the illegitimate region admits no infinite
+// execution the daemon model allows:
 //
 //   * Fairness::kNone — ANY cycle is a violation (an unfair daemon may
 //     follow it forever), i.e. the region must be acyclic;
@@ -15,15 +18,18 @@
 //     enabled at every SCC configuration (weak) or at some (strong) —
 //     fails to act on an internal transition.
 //
-// findFairCycle returns the local id of a state inside a violating
-// cycle, or -1 when convergence holds.  Given the same graph it is
-// fully deterministic, so callers that build the graph in a canonical
-// order (the explorer sorts illegitimate states by key) get
-// deterministic counterexamples.
+// findFairCycle runs an iterative Tarjan and evaluates each SCC as it
+// is popped; it stops at the first violating SCC in completion order
+// and returns that SCC's largest local id, or -1 when convergence
+// holds.  Whether some SCC violates does not depend on the labelling,
+// but WHICH state is returned does: callers that need a canonical
+// counterexample relabel the graph in a canonical order first
+// (relabeled(), e.g. by state key) and run findFairCycle again.
 #ifndef SSNO_MC_PROPERTIES_HPP
 #define SSNO_MC_PROPERTIES_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,19 +46,33 @@ namespace ssno::mc {
 
 struct TransitionGraph {
   struct Edge {
-    int to;
-    int actorPair;  // node * actionCount + action
+    std::uint32_t to;
+    std::uint32_t actorPair;  // node * actionCount + action
   };
-  std::vector<std::vector<Edge>> adj;  // per illegitimate state
+  /// offsets.size() == stateCount() + 1; offsets.front() == 0.
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<Edge> edges;
 
   /// Per-state enabled-(node, action)-pair masks, multi-word: state i's
   /// mask occupies words [i*maskWords, (i+1)*maskWords) of enabledMask
-  /// (see core/bitwords.hpp mask-arena helpers).  A single uint64_t used
-  /// to cap fairness-aware checks at node·actions <= 64 pairs; the flat
-  /// multi-word arena lifts that, so e.g. dftc on ring:12 (72 pairs) is
-  /// checkable.  Unused for Fairness::kNone.
+  /// (see core/bitwords.hpp mask-arena helpers).  Empty (never read)
+  /// for Fairness::kNone.
   int maskWords = 1;
   std::vector<std::uint64_t> enabledMask;
+
+  [[nodiscard]] std::size_t stateCount() const { return offsets.size() - 1; }
+  [[nodiscard]] std::span<const Edge> edgesOf(std::size_t v) const {
+    return {edges.data() + offsets[v],
+            static_cast<std::size_t>(offsets[v + 1] - offsets[v])};
+  }
+
+  /// Appends state stateCount(); its edges follow through addEdge.
+  void addState() { offsets.push_back(edges.size()); }
+  /// Appends an edge out of the most recently added state.
+  void addEdge(std::uint32_t to, std::uint32_t actorPair) {
+    edges.push_back({to, actorPair});
+    offsets.back() = edges.size();
+  }
 
   /// Sizes the mask arena for `states` states of `pairBits` pairs each.
   void initMasks(std::size_t states, std::size_t pairBits);
@@ -65,7 +85,14 @@ struct TransitionGraph {
   }
 };
 
-[[nodiscard]] int findFairCycle(const TransitionGraph& g, Fairness fairness);
+/// The same graph under the labelling new id i = old id order[i]
+/// (`order` is a permutation of the local ids).  Each state keeps its
+/// edge order and its mask.
+[[nodiscard]] TransitionGraph relabeled(const TransitionGraph& g,
+                                        std::span<const std::uint32_t> order);
+
+[[nodiscard]] std::int64_t findFairCycle(const TransitionGraph& g,
+                                         Fairness fairness);
 
 }  // namespace ssno::mc
 

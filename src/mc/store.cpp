@@ -173,11 +173,4 @@ std::uint64_t StateStore::idBound() const {
   return maxCount << shardsLog2_;
 }
 
-void StateStore::forEach(const std::function<void(std::uint64_t)>& fn) const {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    for (std::uint64_t local = 0; local < shards_[s].count; ++local)
-      fn((local << shardsLog2_) | static_cast<std::uint64_t>(s));
-  }
-}
-
 }  // namespace ssno::mc

@@ -104,11 +104,6 @@ class StateStore {
   /// every shard lock; call at level barriers, not on the hot path.
   [[nodiscard]] double loadFactor() const;
 
-  /// Visits every stored id (shard-major, insertion order within a
-  /// shard — NOT deterministic across thread counts).  Quiescent use
-  /// only.
-  void forEach(const std::function<void(std::uint64_t)>& fn) const;
-
  private:
   static constexpr int kChunkLog2 = 12;  // 4096 states per chunk
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkLog2;

@@ -274,7 +274,11 @@ std::string JsonValue::dump() const {
       return std::to_string(static_cast<std::int64_t>(v));
     return exp::shortestDouble(v);
   }
-  if (isString()) return "\"" + jsonEscape(asString()) + "\"";
+  if (isString()) {
+    std::string out = "\"";
+    out.append(jsonEscape(asString())).append("\"");
+    return out;
+  }
   if (isArray()) {
     std::string out = "[";
     bool first = true;
@@ -290,7 +294,7 @@ std::string JsonValue::dump() const {
   for (const auto& [k, v] : asObject()) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + jsonEscape(k) + "\":" + v.dump();
+    out.append("\"").append(jsonEscape(k)).append("\":").append(v.dump());
   }
   return out + "}";
 }

@@ -3,7 +3,10 @@
 // expansion) and the src/mc ParallelChecker, and must produce the same
 // verdict; the parallel engine's full result — verdict, failure text,
 // counterexample trace, state and frontier counts — must be
-// bit-identical for 1 and N exploration threads.
+// bit-identical for 1 and N exploration threads.  The cases cover every
+// shape of graph the explorer records during BFS for its convergence
+// check: interleaved and synchronous edges, weak and strong fairness,
+// and reachable regions whose legitimate states have out-edges.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -28,6 +31,7 @@ struct Case {
   Fairness fairness = Fairness::kNone;
   /// Expected failure kind substring; empty = must pass.
   std::string expectKind;
+  bool synchronous = false;  ///< synchronous-daemon semantics
 };
 
 std::vector<Case> equivalenceCases() {
@@ -80,6 +84,43 @@ std::vector<Case> equivalenceCases() {
        [](Protocol& p) { return static_cast<Dftno&>(p).isLegitimate(); },
        Fairness::kWeaklyFair,
        "fair-feasible cycle"});
+  // Strong fairness: a lone flipping node keeps its only enabled pair
+  // acting, so the cycle is strongly fair.
+  cases.push_back(
+      {"oscillate/path:2/strong",
+       [] { return std::make_unique<OscillateProtocol>(Graph::path(2)); },
+       [](Protocol& p) {
+         return static_cast<OscillateProtocol&>(p).allZero();
+       },
+       Fairness::kStronglyFair,
+       "fair-feasible cycle"});
+  cases.push_back(
+      {"dftno-paper-guard/path:2/strong",
+       [] {
+         return std::make_unique<Dftno>(Graph::path(2),
+                                        EdgeLabelGuard::kPaperFaithful);
+       },
+       [](Protocol& p) { return static_cast<Dftno&>(p).isLegitimate(); },
+       Fairness::kStronglyFair,
+       ""});
+  // Synchronous steps: every enabled node flips at once, a cycle of
+  // simultaneous moves.
+  cases.push_back(
+      {"oscillate/path:3/sync",
+       [] { return std::make_unique<OscillateProtocol>(Graph::path(3)); },
+       [](Protocol& p) {
+         return static_cast<OscillateProtocol&>(p).allZero();
+       },
+       Fairness::kNone,
+       "cycle",
+       /*synchronous=*/true});
+  cases.push_back(
+      {"zero/path:3/sync",
+       [] { return std::make_unique<ZeroProtocol>(Graph::path(3), 3); },
+       [](Protocol& p) { return static_cast<ZeroProtocol&>(p).allZero(); },
+       Fairness::kNone,
+       "",
+       /*synchronous=*/true});
   return cases;
 }
 
@@ -88,6 +129,7 @@ CheckResult sequentialVerdict(const Case& c, bool naive) {
   Protocol& ref = *protocol;
   ModelChecker checker(ref, [&c, &ref] { return c.legit(ref); });
   checker.setNaiveExpansion(naive);
+  checker.setSynchronousSteps(c.synchronous);
   return checker.verifyFullSpace(1u << 22, c.fairness);
 }
 
@@ -96,6 +138,7 @@ mc::Result parallelVerdict(const Case& c, int threads) {
   mc::Options opt;
   opt.threads = threads;
   opt.fairness = c.fairness;
+  opt.synchronousSteps = c.synchronous;
   return pc.checkFullSpace(opt);
 }
 
@@ -141,48 +184,119 @@ TEST(McEquivalence, ParallelResultsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(McEquivalence, ReachableVerdictsMatchAndTracesAreThreadFree) {
-  // Reachable mode: the 1-fault recovery cone of the clean dftc
-  // configuration on a ring (per-seed single-node corruptions).
-  const Graph g = Graph::ring(4);
-  Dftc clean(g);
-  clean.resetClean();
+// Fairness-aware convergence failures come from the same findFairCycle
+// in both engines, on the same labelling: with one-word keys the
+// explorer's key order is the sequential checker's index order.  So the
+// reported configuration is the same.  (Under Fairness::kNone the
+// sequential checker reports the first back edge of its own DFS, so
+// only verdicts are compared there.)
+TEST(McEquivalence, FairCycleWitnessMatchesSequential) {
+  int compared = 0;
+  for (const Case& c : equivalenceCases()) {
+    if (c.fairness == Fairness::kNone || c.expectKind.empty()) continue;
+    EXPECT_EQ(parallelVerdict(c, 2).failure,
+              sequentialVerdict(c, /*naive=*/false).failure)
+        << c.name;
+    ++compared;
+  }
+  EXPECT_GE(compared, 2);
+}
+
+/// Every single-node corruption of `clean` (a 1-fault recovery cone).
+std::vector<std::vector<std::uint64_t>> oneFaultSeeds(const Protocol& clean) {
   const std::vector<std::uint64_t> base = clean.encodeConfiguration();
   std::vector<std::vector<std::uint64_t>> seeds;
-  for (NodeId p = 0; p < g.nodeCount(); ++p) {
+  for (NodeId p = 0; p < clean.graph().nodeCount(); ++p) {
     for (std::uint64_t code = 0; code < clean.localStateCount(p); ++code) {
       std::vector<std::uint64_t> seed = base;
       seed[static_cast<std::size_t>(p)] = code;
       seeds.push_back(std::move(seed));
     }
   }
+  return seeds;
+}
 
-  Dftc seq(g);
-  ModelChecker checker(seq, [&seq] { return seq.isLegitimate(); });
-  const CheckResult seqRes =
-      checker.verifyReachable(seeds, 1u << 22, Fairness::kWeaklyFair);
+struct ReachableCase {
+  std::string name;
+  mc::ParallelChecker::Factory factory;
+  mc::ParallelChecker::Legit legit;
+  std::vector<std::vector<std::uint64_t>> seeds;
+  std::string expectKind;  ///< empty = must pass
+};
 
-  auto factory = [&g] { return std::make_unique<Dftc>(g); };
-  auto legit = [](Protocol& p) {
-    return static_cast<Dftc&>(p).isLegitimate();
-  };
-  mc::ParallelChecker pc(factory, legit);
-  mc::Options opt;
-  opt.fairness = Fairness::kWeaklyFair;
-  opt.threads = 1;
-  const mc::Result one = pc.checkReachable(seeds, opt);
-  EXPECT_EQ(seqRes.ok, one.ok)
-      << "seq='" << seqRes.failure << "' mc='" << one.failure << "'";
-  EXPECT_TRUE(one.ok) << one.failure;
-  EXPECT_EQ(one.statesExplored, seqRes.configsExplored);
+// Reachable mode on regions where legitimate states have out-edges (the
+// token keeps circulating), so legitimate parents are expanded but not
+// recorded, and legitimate-to-illegitimate edges must not leak into the
+// convergence graph.
+std::vector<ReachableCase> reachableCases() {
+  std::vector<ReachableCase> cases;
+  {
+    const Graph g = Graph::ring(4);
+    Dftc clean(g);
+    clean.resetClean();
+    cases.push_back({"dftc/ring:4",
+                     [g] { return std::make_unique<Dftc>(g); },
+                     [](Protocol& p) {
+                       return static_cast<Dftc&>(p).isLegitimate();
+                     },
+                     oneFaultSeeds(clean), ""});
+  }
+  {
+    // A clean substrate under an unlabelled overlay: with the paper's
+    // guard, a weakly fair daemon may circulate the token forever.
+    const Graph g = Graph::path(3);
+    Dftno clean(g, EdgeLabelGuard::kPaperFaithful);
+    clean.substrate().resetClean();
+    cases.push_back({"dftno-paper-guard/path:3",
+                     [g] {
+                       return std::make_unique<Dftno>(
+                           g, EdgeLabelGuard::kPaperFaithful);
+                     },
+                     [](Protocol& p) {
+                       return static_cast<Dftno&>(p).isLegitimate();
+                     },
+                     oneFaultSeeds(clean), "fair-feasible cycle"});
+  }
+  return cases;
+}
 
-  opt.threads = 8;
-  const mc::Result many = pc.checkReachable(seeds, opt);
-  EXPECT_EQ(one.ok, many.ok);
-  EXPECT_EQ(one.failure, many.failure);
-  EXPECT_EQ(one.trace, many.trace);
-  EXPECT_EQ(one.statesExplored, many.statesExplored);
-  EXPECT_EQ(one.peakFrontier, many.peakFrontier);
+TEST(McEquivalence, ReachableVerdictsMatchAndTracesAreThreadFree) {
+  for (const ReachableCase& c : reachableCases()) {
+    const std::unique_ptr<Protocol> seq = c.factory();
+    Protocol& ref = *seq;
+    ModelChecker checker(ref, [&c, &ref] { return c.legit(ref); });
+    const CheckResult seqRes =
+        checker.verifyReachable(c.seeds, 1u << 22, Fairness::kWeaklyFair);
+
+    mc::ParallelChecker pc(c.factory, c.legit);
+    mc::Options opt;
+    opt.fairness = Fairness::kWeaklyFair;
+    opt.threads = 1;
+    const mc::Result one = pc.checkReachable(c.seeds, opt);
+    EXPECT_EQ(seqRes.ok, one.ok)
+        << c.name << ": seq='" << seqRes.failure << "' mc='" << one.failure
+        << "'";
+    if (c.expectKind.empty()) {
+      EXPECT_TRUE(one.ok) << c.name << ": " << one.failure;
+      EXPECT_EQ(one.statesExplored, seqRes.configsExplored) << c.name;
+    } else {
+      EXPECT_NE(one.failure.find(c.expectKind), std::string::npos)
+          << c.name << ": " << one.failure;
+      EXPECT_NE(seqRes.failure.find(c.expectKind), std::string::npos)
+          << c.name << ": " << seqRes.failure;
+      EXPECT_FALSE(one.trace.empty()) << c.name;
+    }
+    for (int threads : {2, 8}) {
+      opt.threads = threads;
+      const mc::Result many = pc.checkReachable(c.seeds, opt);
+      EXPECT_EQ(one.ok, many.ok) << c.name << " @" << threads;
+      EXPECT_EQ(one.failure, many.failure) << c.name << " @" << threads;
+      EXPECT_EQ(one.trace, many.trace) << c.name << " @" << threads;
+      EXPECT_EQ(one.statesExplored, many.statesExplored) << c.name;
+      EXPECT_EQ(one.transitions, many.transitions) << c.name;
+      EXPECT_EQ(one.peakFrontier, many.peakFrontier) << c.name;
+    }
+  }
 }
 
 }  // namespace
